@@ -218,9 +218,12 @@ def test_mesh_scaling_matrix():
     algorithmic scaling (per-node-tick *call counts* are identical across
     the matrix; only per-call latency changes).  8x8 (~6 MB) and 16x16
     (~20 MB) both live beyond L2, so their comparison isolates genuine
-    super-linearity -- before cross-cluster dispatch-plan sharing this
-    segment showed a 45% drop, now it is within a few percent.  The full
-    matrix including the 4x4 point is still recorded in the trajectory."""
+    super-linearity.  The drop is not small: recorded sessions on one
+    2-vCPU host dropped 12-47% on this segment, several beyond the 30%
+    bound.  Call counts are flat, so the host working set and host load,
+    not the algorithm, set it.  The full matrix including the 4x4 point is
+    recorded in the trajectory, with the measured drop and the gate's
+    pass/fail next to the sample, before the assert."""
     matrix = {}
     for mesh_x, mesh_y, mesh_z, iterations in MESH_MATRIX:
         num_nodes = mesh_x * mesh_y * mesh_z
@@ -237,20 +240,26 @@ def test_mesh_scaling_matrix():
             "node_ticks_per_second": round(node_ticks_per_second),
         }
 
-    record_trajectory("mesh_scaling", **{
-        f"{mesh}_{metric}": value
-        for mesh, row in matrix.items()
-        for metric, value in row.items()
-    })
+    small = matrix["8x8x1"]["node_ticks_per_second"]
+    large = matrix["16x16x1"]["node_ticks_per_second"]
+    gate_passed = large >= 0.7 * small
+    record_trajectory(
+        "mesh_scaling",
+        **{
+            f"{mesh}_{metric}": value
+            for mesh, row in matrix.items()
+            for metric, value in row.items()
+        },
+        drop_8x8_to_16x16=round(1 - large / small, 3),
+        gate_passed=gate_passed,
+    )
     report("Mesh-scaling matrix (busy stencil, compiled dispatch)", [
         f"{mesh:>8}  {row['cycles_per_second']:>10} cycles/s  "
         f"{row['node_ticks_per_second']:>12} node-ticks/s"
         for mesh, row in matrix.items()
     ])
 
-    small = matrix["8x8x1"]["node_ticks_per_second"]
-    large = matrix["16x16x1"]["node_ticks_per_second"]
-    assert large >= 0.7 * small, (
+    assert gate_passed, (
         f"per-node-tick throughput dropped {(1 - large / small):.0%} "
         f"from 8x8 to 16x16 (limit 30%)"
     )

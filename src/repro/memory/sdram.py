@@ -14,6 +14,11 @@ This model provides:
   testing the correction/detection paths.
 
 Physical addresses are word addresses in ``[0, size_words)``.
+
+Model words are signed 64-bit integers.  With SECDED on, an integer word is
+stored as the codeword of its low 64 bits and read back as the signed 64-bit
+two's-complement value of those bits, so a negative word survives the trip
+through DRAM whether or not SECDED is enabled.
 """
 
 from __future__ import annotations
@@ -21,8 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.memory.secded import SecdedError, secded_decode, secded_encode
+from repro.memory.secded import SecdedError, inject_error, secded_decode, secded_encode
 from repro.snapshot.values import decode_value, encode_value
+
+#: Stored codeword of a word that was never written (data value 0).
+_ZERO_CODEWORD = secded_encode(0)
+_SIGN_BIT = 1 << 63
+_WORD_RANGE = 1 << 64
 
 
 @dataclass
@@ -119,8 +129,10 @@ class Sdram:
     def read_word(self, address: int):
         self._check_address(address)
         self.reads += 1
-        stored = self._words.get(address, 0 if not self.secded_enabled else secded_encode(0))
-        if self.secded_enabled and isinstance(stored, int):
+        if not self.secded_enabled:
+            return self._words.get(address, 0)
+        stored = self._words.get(address, _ZERO_CODEWORD)
+        if isinstance(stored, int):
             try:
                 value, corrected = secded_decode(stored)
             except SecdedError:
@@ -132,7 +144,8 @@ class Sdram:
                 self.corrected_errors += 1
                 # Scrub: rewrite the corrected word.
                 self._words[address] = secded_encode(value)
-            return value
+            # Decoded data is the low 64 bits: read them as signed.
+            return value - _WORD_RANGE if value & _SIGN_BIT else value
         return stored
 
     def read_block(self, address: int, num_words: int) -> List:
@@ -162,12 +175,10 @@ class Sdram:
         if not self.secded_enabled:
             raise RuntimeError("bit-error injection requires SECDED-encoded storage")
         self._check_address(address)
-        stored = self._words.get(address, secded_encode(0))
+        stored = self._words.get(address, _ZERO_CODEWORD)
         if not isinstance(stored, int):
             raise RuntimeError("cannot inject bit errors into tagged (non-integer) words")
-        for position in bit_positions:
-            stored ^= 1 << position
-        self._words[address] = stored
+        self._words[address] = inject_error(stored, bit_positions)
 
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 

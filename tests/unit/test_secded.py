@@ -7,10 +7,17 @@ every region of the codeword (data, Hamming check, overall parity), the
 double-bit detected-uncorrectable path with syndrome accounting, and the
 corrected/detected counters of the `Sdram` model including their snapshot
 round-trip and pre-counter snapshot back-compat.
+
+The codec itself is table-driven; ``_reference_encode`` and
+``_reference_decode`` below keep the positional bit-loop construction as the
+test oracle it is checked against, bit for bit.
 """
+
+import random
 
 import pytest
 
+from repro import MachineConfig, MMachine
 from repro.memory.sdram import Sdram
 from repro.memory.secded import (
     CHECK_BITS,
@@ -33,6 +40,101 @@ WORDS = [
     0xA5A5_5A5A_0F0F_F0F0,
     1 << 63,
 ]
+
+_ORACLE_RNG = random.Random(0x5EC0DED)
+#: WORDS plus seeded random words, negative and wider-than-64-bit ones too.
+ORACLE_WORDS = (
+    WORDS
+    + [_ORACLE_RNG.getrandbits(64) for _ in range(40)]
+    + [-_ORACLE_RNG.getrandbits(64) for _ in range(20)]
+    + [_ORACLE_RNG.getrandbits(100) for _ in range(20)]
+    + [-7, -1, -(1 << 63), (1 << 64) + 3, (1 << 72) | 0xABC]
+)
+
+
+def _reference_encode(word):
+    """Positional construction, bit by bit: the oracle for secded_encode."""
+    word &= (1 << DATA_BITS) - 1
+    codeword = 0
+    for bit_index, position in enumerate(_DATA_POSITIONS):
+        if (word >> bit_index) & 1:
+            codeword |= 1 << position
+    for position in _CHECK_POSITIONS:
+        covered = 0
+        for pos in range(1, CODEWORD_BITS):
+            if pos & position and (codeword >> pos) & 1:
+                covered ^= 1
+        if covered:
+            codeword |= 1 << position
+    if bin(codeword >> 1).count("1") & 1:
+        codeword |= 1
+    return codeword
+
+
+def _reference_decode(codeword):
+    """Positional construction, bit by bit: the oracle for secded_decode."""
+    syndrome = 0
+    for position in _CHECK_POSITIONS:
+        covered = 0
+        for pos in range(1, CODEWORD_BITS):
+            if pos & position and (codeword >> pos) & 1:
+                covered ^= 1
+        if covered:
+            syndrome |= position
+    overall = bin(codeword).count("1") & 1
+    corrected = False
+    if syndrome != 0 and overall == 1:
+        codeword ^= 1 << syndrome
+        corrected = True
+    elif syndrome != 0 and overall == 0:
+        raise SecdedError(f"uncorrectable double-bit error (syndrome {syndrome:#x})")
+    elif syndrome == 0 and overall == 1:
+        codeword ^= 1
+        corrected = True
+    data = 0
+    for bit_index, position in enumerate(_DATA_POSITIONS):
+        if (codeword >> position) & 1:
+            data |= 1 << bit_index
+    return data, corrected
+
+
+def _outcome(decode, codeword):
+    """A decoder's result, or the message of the SecdedError it raised."""
+    try:
+        return decode(codeword)
+    except SecdedError as error:
+        return "SecdedError", str(error)
+
+
+class TestReferenceOracle:
+    def test_encode_matches_oracle(self):
+        for word in ORACLE_WORDS:
+            assert secded_encode(word) == _reference_encode(word), hex(word)
+
+    def test_every_single_flip_matches_oracle(self):
+        for word in ORACLE_WORDS:
+            codeword = _reference_encode(word)
+            assert secded_decode(codeword) == _reference_decode(codeword)
+            for position in range(CODEWORD_BITS):
+                flipped = codeword ^ (1 << position)
+                assert secded_decode(flipped) == _reference_decode(flipped), (hex(word), position)
+
+    def test_sampled_double_flips_match_oracle(self):
+        rng = random.Random(72)
+        for word in ORACLE_WORDS:
+            codeword = _reference_encode(word)
+            for _ in range(12):
+                first, second = rng.sample(range(CODEWORD_BITS), 2)
+                flipped = codeword ^ (1 << first) ^ (1 << second)
+                assert _outcome(secded_decode, flipped) == _outcome(_reference_decode, flipped)
+
+    def test_out_of_range_codewords_match_oracle(self):
+        # Negative and wider-than-72-bit integers are not codewords, but the
+        # decoder still treats them exactly as the positional loops do.
+        rng = random.Random(9)
+        for _ in range(300):
+            codeword = rng.getrandbits(rng.choice([72, 80, 140])) * rng.choice([1, -1])
+            assert _outcome(secded_decode, codeword) == _outcome(_reference_decode, codeword)
 
 
 class TestCodeGeometry:
@@ -164,6 +266,15 @@ class TestSdramAccounting:
         with pytest.raises(RuntimeError):
             sdram.inject_bit_error(3, [5])
 
+    @pytest.mark.parametrize("position", [-1, CODEWORD_BITS, 80])
+    def test_injection_rejects_positions_outside_the_codeword(self, position):
+        sdram = Sdram(size_words=64)
+        sdram.write_word(3, 777)
+        with pytest.raises(ValueError):
+            sdram.inject_bit_error(3, [position])
+        assert sdram.read_word(3) == 777
+        assert sdram.corrected_errors == 0
+
     def test_injection_rejects_tagged_words(self):
         sdram = Sdram(size_words=64)
         sdram.write_word(3, 1.5)
@@ -198,3 +309,30 @@ class TestSdramAccounting:
         restored.load_state_dict(state)
         assert restored.detected_errors == 0
         assert restored.read_word(3) == 777
+
+
+class TestSignedWords:
+    """Model words are signed 64-bit: a negative word reads back unchanged
+    after its cache line is written back to SDRAM, with SECDED on or off."""
+
+    @pytest.mark.parametrize("secded_enabled", [True, False])
+    def test_negative_store_survives_eviction(self, secded_enabled):
+        config = MachineConfig.single_node()
+        config.memory.secded_enabled = secded_enabled
+        machine = MMachine(config)
+        heap = 0x10000
+        machine.map_on_node(0, heap, num_pages=1)
+        machine.load_hthread(0, 0, 0, "sub i2, i3, #7\nst i2, i1\nhalt",
+                             registers={"i1": heap, "i3": 0})
+        machine.run_until_user_done()
+        assert machine.read_word(heap) == -7
+        machine.nodes[0].memory.flush_cache()
+        assert machine.read_word(heap) == -7
+
+    @pytest.mark.parametrize("word", [-7, -1, -(1 << 63), (1 << 63) - 1, 0])
+    def test_sdram_reads_signed_64_bit(self, word):
+        sdram = Sdram(size_words=64)
+        sdram.write_word(3, word)
+        assert sdram.read_word(3) == word
+        sdram.inject_bit_error(3, [40])
+        assert sdram.read_word(3) == word
