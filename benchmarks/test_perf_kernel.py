@@ -22,9 +22,12 @@ import time
 from conftest import record_trajectory, report
 from repro import MMachine, MachineConfig
 from repro.api import ExperimentBuilder
+from repro.cluster.cluster import Cluster
 
 REGION = 0x40000
 REPEATS = 24
+#: Issue scans per awake node-tick on the remote-read chain (measured 1.336).
+ISSUE_SCANS_PER_TICK_BOUND = 1.34
 
 #: Mesh-scaling matrix: (mesh_x, mesh_y, mesh_z, stencil iterations).  Every
 #: point runs the same per-node work so one-time setup (program load,
@@ -102,6 +105,7 @@ def test_event_kernel_throughput(benchmark):
     benchmark.extra_info["speedup_vs_naive"] = round(speedup, 2)
     benchmark.extra_info["node_ticks"] = machine.kernel.node_ticks
     benchmark.extra_info["node_ticks_naive_equivalent"] = naive_cycles * machine.num_nodes
+    benchmark.extra_info["cluster_cycles_parked"] = machine.kernel.cluster_cycles_parked
 
     record_trajectory(
         "kernel_throughput",
@@ -111,6 +115,7 @@ def test_event_kernel_throughput(benchmark):
         speedup_vs_naive=round(speedup, 2),
         node_ticks_event=machine.kernel.node_ticks,
         node_ticks_naive_equivalent=naive_cycles * machine.num_nodes,
+        cluster_cycles_parked=machine.kernel.cluster_cycles_parked,
     )
 
     report("Kernel throughput (idle-heavy 4x4x1 remote-read chain)", [
@@ -121,6 +126,35 @@ def test_event_kernel_throughput(benchmark):
         f"node ticks (event)      {machine.kernel.node_ticks} of "
         f"{naive_cycles * machine.num_nodes} naive",
     ])
+
+
+def test_issue_scans_per_awake_node_tick(monkeypatch):
+    """Deterministic gate on cluster parking: an awake node scans only the
+    clusters no wake source has left parked.  Without parking every awake
+    node-tick scans all four clusters (4.0); on this chain the count is
+    1728 scans over 1293 node-ticks (1.336), and the bound is that value
+    rounded up.  Simulated time and node-ticks are unchanged by parking."""
+    scans = [0]
+    issue = Cluster.issue
+
+    def counting_issue(self, cycle):
+        scans[0] += 1
+        return issue(self, cycle)
+
+    monkeypatch.setattr(Cluster, "issue", counting_issue)
+    machine = _build_machine("event")
+    cycles = _run(machine)
+    node_ticks = machine.kernel.node_ticks
+    per_tick = scans[0] / node_ticks
+    report("Issue scans per awake node-tick (4x4x1 remote-read chain)", [
+        f"issue scans             {scans[0]}",
+        f"awake node-ticks        {node_ticks}",
+        f"scans per node-tick     {per_tick:.3f} (bound {ISSUE_SCANS_PER_TICK_BOUND})",
+        f"cluster-cycles parked   {machine.kernel.cluster_cycles_parked}",
+    ])
+    assert cycles == 1893 and node_ticks == 1293
+    assert per_tick <= ISSUE_SCANS_PER_TICK_BOUND, (
+        f"{scans[0]} issue scans over {node_ticks} awake node-ticks")
 
 
 def test_event_kernel_speedup():

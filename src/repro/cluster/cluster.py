@@ -73,6 +73,11 @@ from repro.snapshot.values import (
 )
 
 _RUNNABLE = ThreadState.RUNNABLE
+#: Issue-stage profile of a cycle with no runnable H-Thread.
+_IDLE_PROFILE = ("idle", ())
+#: Stall reason of a send waiting for send credits.  Credits return with
+#: ACKs, which are not a cluster wake source, so such a scan never parks.
+_SEND_CREDIT_STALL = "network output busy or out of send credits"
 
 
 @dataclass
@@ -151,6 +156,14 @@ class Cluster:
         self.exceptions_raised = 0
         self._unit_fast = [0, 0, 0]  # indexed like dispatch.UNIT_VALUES
         self._slot_fast = [0] * num_slots
+        # Parking (event kernel only, see enable_parking): the kernel that
+        # may park this cluster, the frozen profile while parked, the first
+        # cycle of the park not yet accounted, and whether a wake source
+        # fired since the cluster parked.
+        self._kernel = None
+        self._parked: Optional[tuple] = None
+        self._parked_from = 0
+        self._stirred = False
 
     # ------------------------------------------------------------------ loading
 
@@ -165,6 +178,7 @@ class Cluster:
         self.icache.load(slot, program)
         self._plan_cache[slot] = None
         context.load(program, initial_registers, entry)
+        self._stirred = True
         return context
 
     def context(self, slot: int) -> HThreadContext:
@@ -251,6 +265,7 @@ class Cluster:
                         registers._pending[offset] -= 1
                 else:
                     self._write_register(wb[1], wb[2], wb[3], wb[4])
+                self._stirred = True
             else:
                 remaining.append(wb)
         self._writebacks = remaining
@@ -258,6 +273,7 @@ class Cluster:
     def receive(self, write: RegWrite, cycle: int) -> None:
         """Apply a register write delivered by the C-Switch."""
         self._write_register(write.vthread, write.ref, write.value, write.clear_pending)
+        self._stirred = True
 
     def _write_register(self, slot: int, ref: RegisterRef, value, clear_pending: bool) -> None:
         registers = self.contexts[slot].registers
@@ -273,6 +289,8 @@ class Cluster:
         resident = [ctx.slot for ctx in self.contexts if ctx.state is _RUNNABLE]
         if not resident:
             self.idle_cycles += 1
+            if self._kernel is not None:
+                self._park(_IDLE_PROFILE, cycle)
             return False
         order = self.policy.order_cached(cycle, tuple(resident))
         if self._compile_dispatch:
@@ -312,6 +330,10 @@ class Cluster:
         icache = self.icache
         node = self.node
         plan_cache = self._plan_cache
+        # (context, reason) of every slot that stalls: the blocked profile
+        # the cluster parks with when nothing issues.
+        stalled = []
+        parkable = True
         for slot in order:
             context = contexts[slot]
             if context.state is not _RUNNABLE:
@@ -335,6 +357,9 @@ class Cluster:
                 if not ready:
                     context.stall_cycles += 1
                     context.stall_reasons[reason] += 1
+                    stalled.append((context, reason))
+                    if reason == _SEND_CREDIT_STALL:
+                        parkable = False
                     continue
                 if context.start_cycle is None:
                     context.start_cycle = cycle
@@ -368,6 +393,7 @@ class Cluster:
                 if stall is not None:
                     context.stall_cycles += 1
                     context.stall_reasons[stall] += 1
+                    stalled.append((context, stall))
                     continue
                 if context.start_cycle is None:
                     context.start_cycle = cycle
@@ -384,6 +410,8 @@ class Cluster:
             return True
 
         self.no_ready_cycles += 1
+        if self._kernel is not None and parkable:
+            self._park(("blocked", tuple(stalled)) if stalled else _IDLE_PROFILE, cycle)
         return False
 
     def _execute_plan(self, context: HThreadContext, plan, pc: int, cycle: int) -> None:
@@ -525,7 +553,7 @@ class Cluster:
                 return None
             stalled.append((context, reason))
         if not stalled:
-            return ("idle", ())
+            return _IDLE_PROFILE
         return ("blocked", tuple(stalled))
 
     def account_idle_cycles(self, profile, start_cycle: int, num_cycles: int) -> None:
@@ -555,6 +583,51 @@ class Cluster:
                 self.icache.fetches += num_cycles
                 context.stall_cycles += num_cycles
                 context.stall_reasons[reason] += num_cycles
+
+    # ------------------------------------------------------------------ parking
+    #
+    # Under the event kernel (repro.core.scheduler) a cluster whose scan
+    # issued nothing parks: its state is frozen until a wake source fires,
+    # so the node skips its issue scan and the skipped cycles are charged
+    # later from the profile of the scan that parked it.  The wake sources
+    # are a closed list: register writes into the cluster's contexts
+    # (receive, apply_writebacks, load_program, load_state_dict) and pushes
+    # onto the hardware queues its handlers read (HardwareQueue.on_push).
+    # Everything else that changes readiness runs inside the cluster's own
+    # issue.
+
+    def enable_parking(self, kernel) -> None:
+        """Let the event *kernel* park this cluster.  Not under the HEP
+        barrel (a scan visits one slot, so it does not yield the profile of
+        the next cycle) nor on the interpreted path."""
+        if self._compile_dispatch and not isinstance(self.policy, HepBarrelPolicy):
+            self._kernel = kernel
+
+    def stir(self) -> None:
+        """Wake hook: readiness may have changed, so a parked cluster must
+        scan again at its next issue slot."""
+        self._stirred = True
+
+    def _park(self, profile, cycle: int) -> None:
+        self._parked = profile
+        self._parked_from = cycle + 1
+        self._stirred = False
+        self._kernel.parked_clusters.add(self)
+
+    def settle_parked(self, upto_cycle: int) -> None:
+        """Charge the parked cycles before *upto_cycle*; stays parked."""
+        start = self._parked_from
+        delta = upto_cycle - start
+        if delta > 0:
+            self.account_idle_cycles(self._parked, start, delta)
+            self._parked_from = upto_cycle
+            self._kernel.cluster_cycles_parked += delta
+
+    def unpark(self, upto_cycle: int) -> None:
+        """Settle through *upto_cycle* - 1 and resume per-cycle scans."""
+        self.settle_parked(upto_cycle)
+        self._parked = None
+        self._kernel.parked_clusters.discard(self)
 
     # ---------------------------------------------------------------- readiness
 
@@ -616,7 +689,7 @@ class Cluster:
                 return False, f"message-composition register m{index} empty"
         priority = self._send_priority(op)
         if not self.node.can_send(priority):
-            return False, "network output busy or out of send credits"
+            return False, _SEND_CREDIT_STALL
         return True, ""
 
     @staticmethod
@@ -942,6 +1015,11 @@ class Cluster:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        if self._parked is not None:
+            # The restored counters replace the parked ones: drop the park
+            # without charging its cycles.
+            self._parked = None
+            self._kernel.parked_clusters.discard(self)
         for context, context_state in zip(self.contexts, state["contexts"]):
             context.load_state_dict(context_state)
         self.icache.load_state_dict(state["icache"])

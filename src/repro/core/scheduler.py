@@ -24,6 +24,22 @@ a remote reply.  This kernel makes the same simulation cost ``O(work)``:
   to the next scheduled wakeup or mesh delivery instead of stepping one
   cycle at a time.
 
+* **Cluster parking.**  The same sleep/wake one level down: inside an awake
+  node, a cluster whose issue scan issued nothing *parks* with the profile
+  that scan produced, and :meth:`~repro.node.node.Node.tick` skips its
+  scan until a wake source *stirs* it.  The wake sources are a closed
+  list -- register writes into the cluster's contexts (C-Switch
+  ``receive``, a local writeback landing, ``load_program``,
+  ``load_state_dict``, which drops the park uncharged because it replaces
+  the counters) and pushes onto the hardware queues its handlers read
+  (``HardwareQueue.on_push``).  Everything else that changes readiness
+  runs inside the cluster's own scan.  Never parked: a send stalled on send
+  credits (credits return with ACKs, not a wake source), the HEP barrel
+  policy (its scan visits one slot, not the whole next-cycle profile) and
+  ``compile_dispatch=False``; those keep the per-cycle scan and the
+  node-level dry run.  Parking runs only under this kernel, so the naive
+  loop stays the literal per-cycle oracle.
+
 Equivalence with the naive loop is bit-exact, including statistics: the
 naive loop's issue stage accrues ``idle_cycles`` / ``no_ready_cycles`` /
 per-thread stall counters / I-cache fetch counts on every blocked cycle.
@@ -31,9 +47,15 @@ Because a sleeping node's state is frozen, those per-cycle increments are a
 pure function of the state at sleep time; the kernel captures that *idle
 profile* once (:meth:`~repro.node.node.Node.idle_issue_profile`) and
 applies it in bulk (:meth:`~repro.node.node.Node.account_idle_cycles`)
-when the node is woken or when statistics are read.  The differential test
-``tests/integration/test_kernel_equivalence.py`` pins this down for every
-workload class.
+when the node is woken or when statistics are read.  A parked cluster's
+cycles are replayed the same way (``Cluster.settle_parked``): when it
+unparks, in :meth:`SimulationKernel.sync` (hence before every ``run(until)``
+/ ``run_until`` predicate and every ``stats()``), in :meth:`wake_all` at
+each public run or step entry, and when its node goes to sleep, where the
+cluster unparks at ``cycle + 1`` and the node-level profile (which reuses
+the parked profile instead of a dry run) takes over.  The differential
+test ``tests/integration/test_kernel_equivalence.py`` pins this down for
+every workload class and every wake source.
 """
 
 from __future__ import annotations
@@ -80,11 +102,19 @@ class SimulationKernel:
         #: re-sleeping with an unchanged next event skips the duplicate push.
         self._queued_wakeup: List[int] = [-1] * num_nodes
 
+        #: Clusters parked inside awake nodes (Cluster.enable_parking).
+        self.parked_clusters = set()
+        for node in self.nodes:
+            for cluster in node.clusters:
+                cluster.enable_parking(self)
+
         self.mesh.attach_observer(self)
 
         # Diagnostics (reported by benchmarks; no architectural effect).
         self.node_ticks = 0
         self.cycles_skipped = 0
+        #: Cluster-cycles charged from a parked profile instead of a scan.
+        self.cluster_cycles_parked = 0
 
     # ------------------------------------------------------------- mesh observer
 
@@ -128,6 +158,10 @@ class SimulationKernel:
         profile = node.idle_issue_profile()
         if profile is None:
             return  # some cluster can issue (or halt a thread) next cycle
+        # The node-level profile takes over from the next cycle.
+        for cluster in node.clusters:
+            if cluster._parked is not None:
+                cluster.unpark(cycle + 1)
         node_id = node.node_id
         self._asleep[node_id] = True
         self._num_asleep += 1
@@ -150,21 +184,26 @@ class SimulationKernel:
                 self._queued_wakeup[node_id] = next_event
 
     def wake_all(self) -> None:
-        """Reactivate every node (used at the start of every public run so
-        that loader/test mutations made while nodes slept take effect)."""
+        """Reactivate every node and unpark every cluster (used at the start
+        of every public run so that loader/test mutations made between runs
+        take effect)."""
+        cycle = self.machine.cycle
+        for cluster in list(self.parked_clusters):
+            cluster.unpark(cycle)
         if self._num_asleep == 0:
             return
-        cycle = self.machine.cycle
         for node_id in range(len(self.nodes)):
             if self._asleep[node_id]:
                 self._wake(node_id, cycle)
 
     def sync(self) -> None:
-        """Flush the lazy idle accounting of all sleeping nodes so external
-        observers (``machine.stats()``, tests poking at clusters) see exactly
-        the counters the naive loop would have produced.  Idempotent; leaves
-        nodes asleep."""
+        """Flush the lazy idle accounting of all sleeping nodes and parked
+        clusters so external observers (``machine.stats()``, tests poking at
+        clusters) see exactly the counters the naive loop would have
+        produced.  Idempotent; leaves nodes asleep and clusters parked."""
         cycle = self.machine.cycle
+        for cluster in self.parked_clusters:
+            cluster.settle_parked(cycle)
         for node_id in range(len(self.nodes)):
             if self._asleep[node_id]:
                 self._flush_idle(node_id, cycle)
@@ -268,9 +307,10 @@ class SimulationKernel:
             # past it: with a predicate the loop steps every cycle (each
             # step is O(awake nodes), zero when all are asleep).  The lazy
             # idle accounting is settled first so a predicate reading
-            # statistics of a sleeping node sees the naive loop's counters.
+            # statistics of a sleeping node or a parked cluster sees the
+            # naive loop's counters.
             if until is not None:
-                if self._num_asleep:
+                if self._num_asleep or self.parked_clusters:
                     self.sync()
                 if until(machine):
                     break
@@ -283,7 +323,7 @@ class SimulationKernel:
         limit = machine.cycle + max_cycles
         while machine.cycle < limit:
             self._step()
-            if self._num_asleep:
+            if self._num_asleep or self.parked_clusters:
                 # Settle lazy idle accounting so predicates that read node
                 # statistics (not just architectural state) match the naive
                 # loop cycle for cycle.

@@ -9,12 +9,20 @@ does not issue while the queue is empty (Sections 3.3 and 4.1).
 :class:`EventQueue` is a thin wrapper that accepts whole
 :class:`~repro.events.records.EventRecord` objects, keeps the structured
 records for tracing, and serves their packed words to software.
+
+A queue may carry one ``on_push`` hook, called after every accepted push.
+The node sets it to the :meth:`~repro.cluster.cluster.Cluster.stir` method
+of the cluster whose resident handler reads the queue, so the event kernel
+can park that cluster while the queue is empty.  Pops need no hook: queue
+checks come last in an instruction's readiness test, so a pop can only turn
+a ready instruction into one stalled on the same queue, never change the
+stall reason of an instruction that is already blocked.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.events.records import EventRecord
 from repro.snapshot.values import decode_value, encode_value
@@ -45,6 +53,8 @@ class HardwareQueue:
         self.capacity_words = capacity_words
         self.name = name
         self._words: Deque[int] = deque()
+        #: Called with no arguments after every accepted push (or None).
+        self.on_push: Optional[Callable[[], None]] = None
         # Statistics
         self.total_pushed = 0
         self.total_popped = 0
@@ -78,6 +88,8 @@ class HardwareQueue:
         self._words.extend(int(w) for w in words)
         self.total_pushed += len(words)
         self.max_occupancy = max(self.max_occupancy, len(self._words))
+        if self.on_push is not None:
+            self.on_push()
         return True
 
     def push_word(self, word: int) -> bool:
@@ -91,9 +103,6 @@ class HardwareQueue:
 
     def peek_word(self) -> Optional[int]:
         return self._words[0] if self._words else None
-
-    def clear(self) -> None:
-        self._words.clear()
 
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 

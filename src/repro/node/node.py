@@ -178,6 +178,15 @@ class Node:
                     compile_dispatch=config.sim.compile_dispatch)
             for index in range(node_config.num_clusters)
         ]
+        # Wake hooks: a push onto a hardware queue stirs the cluster whose
+        # handler slot reads it, so a parked handler scans again when its
+        # queue fills.
+        for cluster in self.clusters:
+            for slot in (EVENT_SLOT, EXCEPTION_SLOT):
+                for name in ("net", "evq"):
+                    queue = self.queue_for(cluster.id, slot, name)
+                    if queue is not None:
+                        queue.on_push = cluster.stir
 
         #: Native (Python) runtime handlers attached to this node; each is an
         #: object with ``tick(node, cycle)``.
@@ -431,9 +440,14 @@ class Node:
         for handler in self.native_handlers:
             handler.tick(self, cycle)
 
-        # 6. Issue.
+        # 6. Issue.  A cluster the event kernel parked is skipped until a
+        # wake source stirs it; its skipped cycles are charged on unpark.
         issued = 0
         for cluster in self.clusters:
+            if cluster._parked is not None:
+                if not cluster._stirred:
+                    continue
+                cluster.unpark(cycle)
             if cluster.issue(cycle):
                 issued += 1
         self.instructions_last_cycle = issued
@@ -446,10 +460,10 @@ class Node:
 
     @property
     def has_pending_work(self) -> bool:
-        """True when anything inside the node is still in flight (used by the
-        machine's quiescence detector together with issue counts).  Every
-        native handler exposes an explicit ``busy`` property
-        (:class:`~repro.runtime.native.NativeHandler`)."""
+        """True when anything inside the node is still in flight, a cluster's
+        local writeback included (used by the machine's quiescence detector
+        together with issue counts).  Every native handler exposes an
+        explicit ``busy`` property (:class:`~repro.runtime.native.NativeHandler`)."""
         return (
             self.memory.busy
             or bool(self._pending_events)
@@ -460,6 +474,7 @@ class Node:
             or not self.event_queue_ltlb.is_empty
             or self.net.busy
             or any(handler.busy for handler in self.native_handlers)
+            or any(cluster._writebacks for cluster in self.clusters)
         )
 
     # ------------------------------------------------------- kernel scheduling
@@ -505,12 +520,16 @@ class Node:
     def idle_issue_profile(self):
         """One frozen issue-stage profile per cluster, or None if any cluster
         could make progress next cycle (in which case the node must stay
-        awake)."""
+        awake).  A parked cluster no wake source has stirred is still
+        blocked exactly as its parking scan found it, so that profile is
+        reused instead of a dry run."""
         profiles = []
         for cluster in self.clusters:
-            profile = cluster.idle_profile()
-            if profile is None:
-                return None
+            profile = cluster._parked
+            if profile is None or cluster._stirred:
+                profile = cluster.idle_profile()
+                if profile is None:
+                    return None
             profiles.append(profile)
         return profiles
 

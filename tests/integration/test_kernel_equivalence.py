@@ -16,6 +16,7 @@ under both kernels, and compares everything observable.
 import pytest
 
 from repro import MMachine, MachineConfig
+from repro.cluster.cluster import Cluster
 from repro.workloads.stencil import make_stencil_workload
 from repro.workloads.synthetic import (
     expected_many_to_one_values,
@@ -349,3 +350,272 @@ class TestKernelMechanics:
             machines[kernel] = machine
         _compare_machines(machines["naive"], machines["event"])
         assert machines["event"].register_value(1, 0, 0, "i2") == 7
+
+
+# ------------------------------------------------------------ cluster parking
+
+
+def _spin(iterations: int, then: str = "") -> str:
+    """A counting loop that keeps its node awake for *iterations* turns,
+    then runs *then* and halts."""
+    return f"""
+        mov i3, #0
+spin:   add i3, i3, #1
+        lt i4, i3, #{iterations}
+        br i4, spin
+        {then}
+        halt
+    """
+
+
+def _message_push(kernel, policy="event-priority", compile_dispatch=True):
+    """Node 0 sends remote stores to node 1, whose message handler (cluster
+    2) sits parked on an empty ``net`` queue while a spinner keeps node 1
+    awake: each arriving message must unpark it through the queue hook."""
+    config = _config(kernel=kernel)
+    config.cluster.issue_policy = policy
+    config.sim.compile_dispatch = compile_dispatch
+    machine = MMachine(config)
+    machine.map_on_node(1, REGION, num_pages=1)
+    dip = machine.runtime.dip("remote_store")
+    machine.load_hthread(1, 0, 0, _spin(300))
+    machine.load_hthread(0, 0, 0, remote_store_sender_program(REGION, dip, 4))
+    machine.run_until_user_done(max_cycles=20000)
+    for offset in range(4):
+        assert machine.read_word(REGION + offset) == 1000 + offset
+    return machine
+
+
+def _send_credits(kernel):
+    """A sender out of send credits waits for ACKs, which are not a wake
+    source, so that stall must never park while a spinner keeps its node
+    awake."""
+    machine = MMachine(_config(shape=(4, 1, 1), kernel=kernel, send_credits=1))
+    machine.map_on_node(3, REGION, num_pages=1)
+    dip = machine.runtime.dip("remote_store")
+    machine.load_hthread(0, 0, 1, _spin(300))
+    machine.load_hthread(0, 0, 0, remote_store_sender_program(REGION, dip, 8))
+    machine.run_until_user_done(max_cycles=20000)
+    for offset in range(8):
+        assert machine.read_word(REGION + offset) == 1000 + offset
+    stalls = machine.nodes[0].clusters[0].contexts[0].stall_reasons
+    assert any("credits" in reason for reason in stalls)
+    return machine
+
+
+def _event_queue_push(kernel):
+    """An LTLB miss on a local page: the miss record pushed onto the LTLB
+    event queue must unpark the handler on cluster 1 of the awake node."""
+    machine = MMachine(_config(shape=(1, 1, 1), kernel=kernel))
+    machine.map_on_node(0, REGION, num_pages=1, preload_ltlb=False)
+    machine.write_word(REGION + 3, 77)
+    machine.load_hthread(0, 0, 2, _spin(300))
+    machine.load_hthread(0, 0, 0, _spin(20, "ld i5, i1\nadd i6, i5, #1"),
+                         registers={"i1": REGION + 3})
+    machine.run_until_user_done(max_cycles=20000)
+    assert machine.register_value(0, 0, 0, "i6") == 78
+    return machine
+
+
+def _exception_queue_push(kernel):
+    """A privileged operation from a user slot posts a protection record to
+    the cluster's exception queue, read by a handler in the exception slot."""
+    machine = MMachine(_config(shape=(1, 1, 1), mode="none", kernel=kernel))
+    machine.load_hthread(0, 0, 1, _spin(300))
+    machine.load_hthread(0, 5, 0, "mov i1, evq\nmov i2, evq\nmov i3, evq\nmov i4, evq\nhalt")
+    machine.load_hthread(0, 0, 0, _spin(20, "xregwr i1, i2"))
+    machine.run_until_quiescent(max_cycles=20000)
+    assert machine.nodes[0].clusters[0].exceptions_raised == 1
+    assert machine.thread_halted(0, 5, 0)
+    return machine
+
+
+def _cswitch_write(kernel):
+    """Cluster 1 blocks on an emptied register that cluster 0 fills over the
+    C-Switch after spinning."""
+    machine = MMachine(_config(shape=(1, 1, 1), mode="none", kernel=kernel))
+    machine.load_hthread(0, 0, 1, "empty i5\nadd i6, i5, #1\nhalt")
+    machine.load_hthread(0, 0, 0, _spin(60, "mov c1.i5, #41"))
+    machine.run_until_user_done(max_cycles=20000)
+    assert machine.register_value(0, 0, 1, "i6") == 42
+    return machine
+
+
+def _local_writeback(kernel):
+    """A long-latency fdiv: its consumer parks until the writeback lands."""
+    machine = MMachine(_config(shape=(1, 1, 1), mode="none", kernel=kernel))
+    machine.load_hthread(0, 0, 0, _spin(60))
+    machine.load_hthread(0, 0, 1, "fdiv f1, f2, f3\nfadd f4, f1, f1\nhalt",
+                         registers={"f2": 7.0, "f3": 2.0})
+    machine.run_until_user_done(max_cycles=20000)
+    assert machine.register_value(0, 0, 1, "f4") == 7.0
+    return machine
+
+
+def _snapshot_restore(kernel):
+    """Snapshot while clusters are parked, run on, then restore the snapshot
+    into the same machine and finish: the restored counters replace the
+    parked ones, so the park must be dropped uncharged."""
+    config = _config(kernel=kernel)
+    machine = MMachine(config)
+    machine.map_on_node(1, REGION, num_pages=1)
+    dip = machine.runtime.dip("remote_store")
+    machine.load_hthread(1, 0, 0, _spin(300))
+    machine.load_hthread(0, 0, 0, remote_store_sender_program(REGION, dip, 4))
+    machine.run(60)
+    if machine.kernel is not None:
+        assert machine.kernel.parked_clusters
+    document = machine.snapshot_document()
+    machine.run(200)
+    machine.restore_snapshot(document)
+    machine.run_until_user_done(max_cycles=20000)
+    return machine
+
+
+def _predicate_reads_parked_stats(kernel):
+    """run(until=...) must settle parked clusters before every predicate:
+    this one reads the stall counter of a handler parked in the one node,
+    which a spinner keeps awake."""
+    machine = MMachine(_config(shape=(1, 1, 1), kernel=kernel))
+    machine.load_hthread(0, 0, 0, _spin(300))
+    handler = machine.nodes[0].clusters[2]
+    machine.run(5000, until=lambda m: handler.no_ready_cycles >= 123)
+    assert handler.no_ready_cycles == 123
+    machine.run_until(lambda m: handler.no_ready_cycles >= 200, max_cycles=5000)
+    assert handler.no_ready_cycles == 200
+    return machine
+
+
+def _load_program_mid_run(kernel):
+    """A program loaded while the run is in progress (here by the run's own
+    predicate) must unpark the idle cluster it lands on."""
+    machine = MMachine(_config(shape=(1, 1, 1), mode="none", kernel=kernel))
+    machine.load_hthread(0, 0, 0, _spin(200))
+
+    def load_at_cycle_40(m):
+        if m.cycle == 40:
+            m.load_hthread(0, 0, 1, "mov i2, #7\nhalt")
+        return False
+
+    machine.run(300, until=load_at_cycle_40)
+    assert machine.register_value(0, 0, 1, "i2") == 7
+    return machine
+
+
+PARKING_SCENARIOS = {
+    "message-queue-push": _message_push,
+    "event-queue-push": _event_queue_push,
+    "exception-queue-push": _exception_queue_push,
+    "cswitch-write": _cswitch_write,
+    "local-writeback": _local_writeback,
+    "snapshot-restore": _snapshot_restore,
+    "predicate-reads-parked-stats": _predicate_reads_parked_stats,
+    "send-credits": _send_credits,
+    "load-program-mid-run": _load_program_mid_run,
+}
+
+
+class TestClusterParking:
+    """The event kernel parks a cluster whose scan issued nothing inside an
+    awake node and skips its scans until a wake source stirs it.  Each
+    scenario keeps the node awake (a spinner on another cluster) so the
+    cluster-level path, not node sleep, carries the wake."""
+
+    @pytest.mark.parametrize("name", sorted(PARKING_SCENARIOS))
+    def test_wake_source_matches_naive(self, name):
+        machines = _run_both(PARKING_SCENARIOS[name])
+        assert machines["event"].kernel.cluster_cycles_parked > 0
+
+    @pytest.mark.parametrize("policy, compile_dispatch", [("hep", True),
+                                                         ("event-priority", False)])
+    def test_unparkable_configurations_match_naive(self, policy, compile_dispatch):
+        """The HEP barrel and the interpreted path never park; the node-level
+        dry run still carries them."""
+        machines = _run_both(
+            lambda kernel: _message_push(kernel, policy, compile_dispatch))
+        kernel = machines["event"].kernel
+        assert kernel.cluster_cycles_parked == 0
+        assert not kernel.parked_clusters
+        assert kernel.cycles_skipped > 0
+
+    def test_quiescence_waits_for_local_writebacks(self):
+        """Regression: a node with a writeback still in flight is not quiet,
+        so the result is visible when run_until_quiescent returns."""
+        for kernel in KERNELS:
+            machine = MMachine(_config(shape=(1, 1, 1), kernel=kernel))
+            machine.load_hthread(0, 0, 0, "fdiv f1, f2, f3\nhalt",
+                                 registers={"f2": 7.0, "f3": 2.0})
+            assert machine.run_until_quiescent() == 14
+            assert machine.register_value(0, 0, 0, "f1") == 3.5
+            assert machine.register_full(0, 0, 0, "f1")
+
+
+# Each wake hook, disabled in turn, with the scenario that depends on it
+# (plus parking on a send-credit stall, which no wake source covers): the
+# equivalence check must then fail, which shows the scenarios above keep
+# their power to catch a missing wake.
+def _mute_stir(method):
+    """Wrap Cluster.*method* so it leaves the stirred flag as it found it."""
+    original = getattr(Cluster, method)
+
+    def muted(self, *args, **kwargs):
+        stirred = self._stirred
+        result = original(self, *args, **kwargs)
+        self._stirred = stirred
+        return result
+
+    return muted
+
+
+def _keep_park_on_restore():
+    original = Cluster.load_state_dict
+
+    def keep(self, state):
+        parked, since = self._parked, self._parked_from
+        original(self, state)
+        self._parked, self._parked_from = parked, since
+
+    return keep
+
+
+def _disguise_credit_stall():
+    """Give the out-of-credits stall a reason the scan does not recognise,
+    so a cluster blocked on credits parks."""
+    original = Cluster._send_ready
+
+    def disguised(self, context, op):
+        ready, reason = original(self, context, op)
+        return ready, reason + " (disguised)" if "credits" in reason else reason
+
+    return disguised
+
+
+WAKE_HOOK_MUTATIONS = {
+    "queue-push-hook": ("stir", lambda: (lambda self: None),
+                        ("message-queue-push", "event-queue-push")),
+    "cswitch-receive": ("receive", lambda: _mute_stir("receive"), ("cswitch-write",)),
+    "writeback-landing": ("apply_writebacks", lambda: _mute_stir("apply_writebacks"),
+                          ("local-writeback",)),
+    "load-program": ("load_program", lambda: _mute_stir("load_program"),
+                     ("load-program-mid-run",)),
+    "load-state-dict": ("load_state_dict", _keep_park_on_restore, ("snapshot-restore",)),
+    "park-on-send-credits": ("_send_ready", _disguise_credit_stall, ("send-credits",)),
+}
+
+
+def _diverges(scenario) -> bool:
+    naive = scenario("naive")
+    try:
+        event = scenario("event")
+        _compare_machines(naive, event)
+    except (AssertionError, TimeoutError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("hook", sorted(WAKE_HOOK_MUTATIONS))
+def test_disabling_a_wake_hook_breaks_equivalence(hook, monkeypatch):
+    method, make_mutant, scenarios = WAKE_HOOK_MUTATIONS[hook]
+    monkeypatch.setattr(Cluster, method, make_mutant())
+    for name in scenarios:
+        assert _diverges(PARKING_SCENARIOS[name]), f"{name} missed the disabled {hook}"
