@@ -22,7 +22,11 @@ import time
 from conftest import record_trajectory, report
 from repro import MMachine, MachineConfig
 from repro.api import ExperimentBuilder
+from repro.cluster import dispatch
 from repro.cluster.cluster import Cluster
+from repro.isa import assembler
+from repro.sweep import get_spec
+from repro.sweep.runner import SweepRunner
 
 REGION = 0x40000
 REPEATS = 24
@@ -155,6 +159,52 @@ def test_issue_scans_per_awake_node_tick(monkeypatch):
     assert cycles == 1893 and node_ticks == 1293
     assert per_tick <= ISSUE_SCANS_PER_TICK_BOUND, (
         f"{scans[0]} issue scans over {node_ticks} awake node-ticks")
+
+
+def test_paper_figures_assemble_and_compile_once(tmp_path, monkeypatch):
+    """Deterministic gate on the program cache: the 31-run paper-figures
+    sweep, run inline from a cold cache, calls ``assemble`` 176 times for 39
+    distinct ``(source, name)`` pairs and must parse each pair once (39
+    parses; without the cache all 176 calls parse).  Dispatch plans are
+    stored on the shared programs, so each (program, slot, register layout)
+    compiles once however many clusters and machines run it."""
+    assembler._cached_program.cache_clear()
+    compiles = []
+    compile_plans = dispatch._compile_plans
+
+    def counting_compile(program, cluster, slot):
+        plans, shareable = compile_plans(program, cluster, slot)
+        layout = cluster.contexts[slot].registers.layout_key
+        compiles.append((program, (slot, layout), shareable))
+        return plans, shareable
+
+    monkeypatch.setattr(dispatch, "_compile_plans", counting_compile)
+    runner = SweepRunner(str(tmp_path / "sweep"), jobs=1, force=True, log=lambda _: None)
+    result = runner.run(get_spec("paper-figures"))
+    assert [record["status"] for record in result.records] == ["ok"] * 31
+
+    cache = assembler._cached_program.cache_info()
+    calls, parses = cache.hits + cache.misses, cache.misses
+    distinct_plans = {(id(program), key) for program, key, _ in compiles}
+    record_trajectory(
+        "program_cache",
+        assemble_calls=calls,
+        parses=parses,
+        plan_compiles=len(compiles),
+        distinct_plan_keys=len(distinct_plans),
+    )
+    report("Set-up work of the paper-figures sweep (cold cache)", [
+        f"assemble calls          {calls}",
+        f"parses                  {parses}",
+        f"plan compilations       {len(compiles)}",
+        f"distinct plan keys      {len(distinct_plans)}",
+    ])
+    # Every parse filled a cache entry that was never evicted: no pair was
+    # parsed twice.
+    assert parses == cache.currsize
+    assert (calls, parses) == (176, 39)
+    assert all(shareable for _, _, shareable in compiles)
+    assert len(compiles) == len(distinct_plans)
 
 
 def test_event_kernel_speedup():

@@ -27,9 +27,9 @@ The issue stage has two implementations selected by ``sim.compile_dispatch``:
 * the **compiled** path (:meth:`Cluster._issue_fast`) resolves each program
   once into :class:`~repro.cluster.dispatch.CompiledInstruction` plans
   (readiness steps over flat register offsets, bound operand readers and
-  executors) and runs those.  Plans are derived state, cached per slot keyed
-  on the ``Program`` object identity, and never serialised: a snapshot
-  restore installs new ``Program`` objects and recompiles on first issue.
+  executors) and runs those.  Plans are derived state stored on the shared
+  ``Program`` (:func:`~repro.cluster.dispatch.compile_program`), looked up
+  per slot on first issue and never serialised.
 
 Both paths are bit-exact in statistics, traces and snapshots
 (``tests/integration/test_dispatch_equivalence.py`` is the differential
@@ -48,7 +48,7 @@ from repro.cluster.functional_units import (
     OperandError,
     evaluate_operation,
 )
-from repro.cluster.hthread import HThreadContext, ThreadState
+from repro.cluster.hthread import FINISHED_STATES, HThreadContext, ThreadState
 from repro.cluster.icache import InstructionCache
 from repro.cluster.issue import HepBarrelPolicy, make_issue_policy
 from repro.core.config import (
@@ -127,9 +127,14 @@ class Cluster:
         self.node_config = node_config or NodeConfig()
         num_slots = self.node_config.num_vthread_slots
         self.contexts: List[HThreadContext] = [
-            HThreadContext(slot=slot, cluster_id=cluster_id, config=self.config)
+            HThreadContext(slot=slot, cluster_id=cluster_id, config=self.config, owner=self)
             for slot in range(num_slots)
         ]
+        #: Maintained from the contexts' state changes
+        #: (:meth:`thread_state_changed`): the runnable slots in slot order,
+        #: and how many user-slot H-Threads have not finished.
+        self._runnable: Tuple[int, ...] = ()
+        self.users_unfinished = 0
         self.icache = InstructionCache(self.config, name=f"n{getattr(node, 'node_id', '?')}c{cluster_id}")
         self.policy = make_issue_policy(self.config, num_slots)
         #: In-flight local writebacks as ``(due_cycle, slot, ref, value,
@@ -186,17 +191,20 @@ class Cluster:
 
     # ------------------------------------------------------------------ queries
 
-    @property
-    def busy(self) -> bool:
-        """True while any resident H-Thread has not halted or writebacks are
-        outstanding."""
-        return (
-            any(ctx.state is _RUNNABLE for ctx in self.contexts)
-            or bool(self._writebacks)
-        )
+    def thread_state_changed(self, context: HThreadContext, previous: ThreadState) -> None:
+        """State-change hook of the contexts (``HThreadContext._set_state``):
+        refresh the runnable slots and pass a change in the unfinished-user
+        count on to the node."""
+        self._runnable = tuple(ctx.slot for ctx in self.contexts if ctx.state is _RUNNABLE)
+        if context.slot not in (EVENT_SLOT, EXCEPTION_SLOT):
+            delta = (previous in FINISHED_STATES) - context.finished
+            if delta:
+                self.users_unfinished += delta
+                self.node.users_changed(delta)
 
     @property
     def user_threads_finished(self) -> bool:
+        """Rescan of the contexts (the naive loop's oracle for the counts)."""
         return all(
             ctx.finished
             for ctx in self.contexts
@@ -286,13 +294,13 @@ class Cluster:
     def issue(self, cycle: int) -> bool:
         """Run the synchronization stage for one cycle; returns True if an
         instruction issued."""
-        resident = [ctx.slot for ctx in self.contexts if ctx.state is _RUNNABLE]
-        if not resident:
+        runnable = self._runnable
+        if not runnable:
             self.idle_cycles += 1
             if self._kernel is not None:
                 self._park(_IDLE_PROFILE, cycle)
             return False
-        order = self.policy.order_cached(cycle, tuple(resident))
+        order = self.policy.order_cached(cycle, runnable)
         if self._compile_dispatch:
             return self._issue_fast(order, cycle)
         return self._issue_slow(order, cycle)
@@ -302,7 +310,7 @@ class Cluster:
 
         The cache entry is invalidated explicitly by the only two paths that
         change a slot's resident program: :meth:`load_program` and
-        :meth:`load_state_dict` (a snapshot restore installs freshly decoded
+        :meth:`load_state_dict` (a snapshot restore installs the decoded
         ``Program`` objects).
         """
         from repro.cluster.dispatch import compile_program  # noqa: PLC0415
@@ -335,9 +343,8 @@ class Cluster:
         stalled = []
         parkable = True
         for slot in order:
+            # The order holds runnable slots only.
             context = contexts[slot]
-            if context.state is not _RUNNABLE:
-                continue
             cached = plan_cache[slot]
             if cached is None:
                 cached = self._slot_plans(slot)
@@ -489,8 +496,6 @@ class Cluster:
         """Interpreted issue scan (``sim.compile_dispatch = False``)."""
         for slot in order:
             context = self.contexts[slot]
-            if not context.is_runnable:
-                continue
             instruction = self.icache.fetch(slot, context.pc)
             if instruction is None:
                 # Running off the end of the program is an implicit halt.
@@ -539,10 +544,10 @@ class Cluster:
         by :meth:`account_idle_cycles` when the node wakes.
         """
         stalled = []
-        for context in self.contexts:
-            if not context.is_runnable:
-                continue
-            instruction = self.icache.peek(context.slot, context.pc)
+        contexts = self.contexts
+        for slot in self._runnable:
+            context = contexts[slot]
+            instruction = self.icache.peek(slot, context.pc)
             if instruction is None:
                 return None  # implicit halt pending: a real tick must run
             try:
@@ -1023,7 +1028,8 @@ class Cluster:
         for context, context_state in zip(self.contexts, state["contexts"]):
             context.load_state_dict(context_state)
         self.icache.load_state_dict(state["icache"])
-        # The restore installed new Program objects: recompile on next issue.
+        # The restore may have installed other programs: look the plans up
+        # again on next issue.
         self._plan_cache = [None] * len(self._plan_cache)
         self._queue_cache = [dict() for _ in self._queue_cache]
         self.policy.load_state_dict(state["policy"])

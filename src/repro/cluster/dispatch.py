@@ -21,10 +21,12 @@ issued from, into a :class:`CompiledInstruction` plan per program counter:
 * per-operation ``executor`` closures with the opcode dispatch, destination
   offsets, latencies and trace strings bound at compile time.
 
-Plans are **derived state**: they are cached per (cluster, slot) keyed on
-the :class:`~repro.isa.program.Program` object identity, never serialised
-into snapshots, and rebuilt on first issue after a restore (a restore
-installs freshly decoded ``Program`` objects, so the identity check misses).
+Plans are **derived state**: they are stored on the
+:class:`~repro.isa.program.Program` they were compiled from, keyed by
+(slot, register layout), looked up per (cluster, slot) on first issue, and
+never serialised into snapshots.  A restore decodes its programs through
+the assembler's program cache, so it finds the plans already compiled on
+them.
 Any instruction the compiler cannot prove it handles bit-exactly -- sends,
 remote sources, out-of-range references, opcodes without value semantics --
 gets a ``None`` plan and goes down the interpreted path, which also raises
@@ -34,7 +36,6 @@ differential gate is ``tests/integration/test_dispatch_equivalence.py``.
 
 from __future__ import annotations
 
-import weakref
 from typing import List, Optional, Tuple
 
 from repro.cluster.functional_units import OperandError, value_evaluator
@@ -50,7 +51,7 @@ from repro.memory.requests import MemOpKind, MemRequest
 # cluster-specific objects or identities -- queues are resolved by name
 # through the executing cluster's binding cache and nid/cid are read from
 # the executing cluster at runtime -- so one compiled plan serves every
-# cluster with the same register layout (see ``_SHARED_PLANS``).
+# cluster with the same register layout (see ``compile_program``).
 READ_CONST = 0    # arg is the value (immediates, labels, folded vid/zero)
 READ_REG = 1      # arg is a flat register-file offset
 READ_QUEUE = 2    # arg is the queue name; pop one word (raises if unreadable)
@@ -92,43 +93,34 @@ class CompiledInstruction:
         self.instruction = instruction
 
 
-#: Shared plan lists, keyed by Program object (weakly) then by
-#: ``(slot, regfile layout_key)``.  A program whose every instruction
-#: compiles without binding cluster-specific state (hardware queues, folded
-#: node/cluster identity constants, memory ports, inter-cluster writes)
-#: Shared plan lists, keyed by Program object identity then by ``(slot,
-#: regfile layout_key)``.  Compiled plans bind nothing cluster-specific --
-#: queues are resolved by name at runtime and node/cluster identities are
-#: read from the executing cluster -- so the same Program loaded into many
-#: clusters (every SPMD workload, every runtime handler) compiles once and
-#: is shared.  On an NxN mesh this collapses the plan footprint touched per
-#: simulated cycle by ``4 x N x N``, which is what keeps the busy-heavy
-#: per-node-tick throughput flat as the mesh grows (the host working set
-#: would otherwise blow out the CPU cache).
-#:
-#: Keyed by ``id(program)`` (Program defines ``__eq__`` but not ``__hash__``)
-#: with a weakref that both validates identity against id reuse and evicts
-#: the entry when the program is collected.
-_SHARED_PLANS: dict = {}
-
-
 def compile_program(program: Optional[Program], cluster,
                     slot: int) -> List[Optional[CompiledInstruction]]:
-    """Compile every instruction of *program* for one (cluster, slot).
+    """The plans of every instruction of *program* for one (cluster, slot).
 
     Returns one plan (or None = interpreted fallback) per program counter.
+    Compiled plans bind nothing cluster-specific -- queues are resolved by
+    name at runtime and node/cluster identities are read from the executing
+    cluster -- so they are stored on the program itself
+    (:attr:`Program.dispatch_plans`, keyed ``(slot, regfile layout_key)``)
+    and the same program loaded into many clusters (every SPMD workload,
+    every runtime handler, every machine built from the program cache)
+    compiles once.  On an NxN mesh this collapses the plan footprint touched
+    per simulated cycle by ``4 x N x N``, which is what keeps the busy-heavy
+    per-node-tick throughput flat as the mesh grows.
     """
     if program is None:
         return []
     share_key = (slot, cluster.contexts[slot].registers.layout_key)
-    cache_key = id(program)
-    entry = _SHARED_PLANS.get(cache_key)
-    per_program = None
-    if entry is not None and entry[0]() is program:
-        per_program = entry[1]
-        shared = per_program.get(share_key)
-        if shared is not None:
-            return shared
+    plans = program.dispatch_plans.get(share_key)
+    if plans is None:
+        plans, shareable = _compile_plans(program, cluster, slot)
+        if shareable:
+            program.dispatch_plans[share_key] = plans
+    return plans
+
+
+def _compile_plans(program: Program, cluster, slot: int):
+    """Compile every instruction; returns ``(plans, shareable)``."""
     plans: List[Optional[CompiledInstruction]] = []
     shareable = True
     for pc in range(len(program)):
@@ -139,18 +131,7 @@ def compile_program(program: Optional[Program], cluster,
             # surprise is not provably cluster-independent, so don't share.
             plan, shareable = None, False
         plans.append(plan)
-    if shareable:
-        if per_program is None:
-            try:
-                ref = weakref.ref(
-                    program, lambda _ref, _key=cache_key: _SHARED_PLANS.pop(_key, None)
-                )
-            except TypeError:
-                return plans  # non-weakrefable program; just don't share
-            per_program = {}
-            _SHARED_PLANS[cache_key] = (ref, per_program)
-        per_program[share_key] = plans
-    return plans
+    return plans, shareable
 
 
 def _compile_instruction(instruction: Instruction, cluster,

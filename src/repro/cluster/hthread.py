@@ -35,6 +35,10 @@ class ThreadState(enum.Enum):
     FAULTED = "faulted"
 
 
+#: States in which an H-Thread counts as finished.
+FINISHED_STATES = (ThreadState.HALTED, ThreadState.IDLE)
+
+
 @dataclass
 class HThreadContext:
     """State of one H-Thread (one V-Thread slot on one cluster)."""
@@ -54,18 +58,31 @@ class HThreadContext:
     issue_cycles: int = 0
     start_cycle: Optional[int] = None
     halt_cycle: Optional[int] = None
+    #: The cluster told of every change of :attr:`state` (None when the
+    #: context stands alone).
+    owner: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.registers is None:
             self.registers = RegisterSet(self.config)
 
     # -- lifecycle ---------------------------------------------------------------
+    #
+    # Every change of ``state`` goes through _set_state, which tells the
+    # owning cluster: it keeps its runnable slots and unfinished-user count
+    # from these notifications instead of rescanning its contexts.
+
+    def _set_state(self, state: ThreadState) -> None:
+        previous = self.state
+        self.state = state
+        if previous is not state and self.owner is not None:
+            self.owner.thread_state_changed(self, previous)
 
     def load(self, program: Program, initial_registers: Optional[dict] = None,
              entry: Optional[str] = None) -> None:
         self.program = program
         self.pc = program.label_address(entry) if entry else 0
-        self.state = ThreadState.RUNNABLE
+        self._set_state(ThreadState.RUNNABLE)
         self.instructions_issued = 0
         self.operations_issued = 0
         self.stall_cycles = 0
@@ -76,16 +93,16 @@ class HThreadContext:
             self.registers.set_initial(initial_registers)
 
     def halt(self, cycle: Optional[int] = None) -> None:
-        self.state = ThreadState.HALTED
         self.halt_cycle = cycle
+        self._set_state(ThreadState.HALTED)
 
     def fault(self) -> None:
-        self.state = ThreadState.FAULTED
+        self._set_state(ThreadState.FAULTED)
 
     def resume(self) -> None:
         """Used by an exception handler to restart a faulted thread."""
         if self.state is ThreadState.FAULTED:
-            self.state = ThreadState.RUNNABLE
+            self._set_state(ThreadState.RUNNABLE)
 
     # -- queries -----------------------------------------------------------------
 
@@ -99,7 +116,7 @@ class HThreadContext:
 
     @property
     def finished(self) -> bool:
-        return self.state in (ThreadState.HALTED, ThreadState.IDLE)
+        return self.state in FINISHED_STATES
 
     def record_stall(self, reason: str) -> None:
         self.stall_cycles += 1
@@ -125,7 +142,7 @@ class HThreadContext:
     def load_state_dict(self, state: dict) -> None:
         self.program = decode_value(state["program"])
         self.pc = state["pc"]
-        self.state = ThreadState(state["state"])
+        self._set_state(ThreadState(state["state"]))
         self.registers.load_state_dict(state["registers"])
         self.instructions_issued = state["instructions_issued"]
         self.operations_issued = state["operations_issued"]

@@ -186,8 +186,8 @@ class SimConfig:
     #: skips per-cycle opcode dispatch and operand decoding.  Purely a host
     #: optimisation: results, statistics, traces and snapshots are bit-exact
     #: with the interpreted path (``tests/integration/
-    #: test_dispatch_equivalence.py``).  Compiled plans are derived state:
-    #: they are never serialised and are rebuilt after a snapshot restore.
+    #: test_dispatch_equivalence.py``).  Compiled plans are derived state,
+    #: stored on the shared ``Program`` and never serialised.
     compile_dispatch: bool = True
 
 

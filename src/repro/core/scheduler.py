@@ -24,6 +24,13 @@ a remote reply.  This kernel makes the same simulation cost ``O(work)``:
   to the next scheduled wakeup or mesh delivery instead of stepping one
   cycle at a time.
 
+* **Counted users.**  ``run_until_user_done`` asks on every cycle whether
+  any user H-Thread is unfinished.  The kernel keeps the machine-wide
+  count, ``users_unfinished``, from the contexts' state-change
+  notifications (context -> cluster -> node -> kernel), so the answer costs
+  O(1) instead of a walk over the awake nodes' contexts.  The naive loop
+  keeps the literal rescan and is the oracle for the count.
+
 * **Cluster parking.**  The same sleep/wake one level down: inside an awake
   node, a cluster whose issue scan issued nothing *parks* with the profile
   that scan produced, and :meth:`~repro.node.node.Node.tick` skips its
@@ -81,14 +88,12 @@ class SimulationKernel:
         self._idle_from: List[int] = [0] * num_nodes
         #: Frozen issue-stage profile captured when the node went to sleep.
         self._idle_profile: List[Optional[list]] = [None] * num_nodes
-        #: ``has_pending_work`` / ``user_threads_finished`` frozen at sleep
-        #: time (a sleeping node's state cannot change, so these are exact).
+        #: ``has_pending_work`` frozen at sleep time (a sleeping node's
+        #: state cannot change, so this is exact).
         self._pending_flag: List[bool] = [False] * num_nodes
-        self._users_flag: List[bool] = [True] * num_nodes
-        #: Count of sleeping nodes with pending work / unfinished users, so
-        #: the run loops' busy checks cost O(awake) instead of O(nodes).
+        #: Count of sleeping nodes with pending work, so the run loops' busy
+        #: checks cost O(awake) instead of O(nodes).
         self._sleeping_pending = 0
-        self._sleeping_users_unfinished = 0
         #: Min-heap of scheduled wakeups, encoded as single ints
         #: ``(cycle << shift) | node_id`` so heap operations compare machine
         #: integers instead of allocating tuples.  The encoding preserves the
@@ -104,9 +109,14 @@ class SimulationKernel:
 
         #: Clusters parked inside awake nodes (Cluster.enable_parking).
         self.parked_clusters = set()
+        #: Unfinished user H-Threads machine-wide, kept by the nodes'
+        #: ``users_changed`` notifications from here on.
+        self.users_unfinished = 0
         for node in self.nodes:
             for cluster in node.clusters:
                 cluster.enable_parking(self)
+            node._kernel = self
+            self.users_unfinished += node.users_unfinished
 
         self.mesh.attach_observer(self)
 
@@ -145,9 +155,6 @@ class SimulationKernel:
         if self._pending_flag[node_id]:
             self._pending_flag[node_id] = False
             self._sleeping_pending -= 1
-        if not self._users_flag[node_id]:
-            self._users_flag[node_id] = True
-            self._sleeping_users_unfinished -= 1
 
     def _maybe_sleep(self, node, cycle: int) -> None:
         """Called after a tick that issued nothing: put the node to sleep if
@@ -171,10 +178,6 @@ class SimulationKernel:
         self._pending_flag[node_id] = pending
         if pending:
             self._sleeping_pending += 1
-        users_finished = node.user_threads_finished
-        self._users_flag[node_id] = users_finished
-        if not users_finished:
-            self._sleeping_users_unfinished += 1
         if next_event is not None:
             queued = self._queued_wakeup[node_id]
             if queued < 0 or next_event < queued:
@@ -272,13 +275,6 @@ class SimulationKernel:
             return True
         asleep = self._asleep
         return any(node.has_pending_work for node in self.nodes if not asleep[node.node_id])
-
-    def _users_done(self) -> bool:
-        if self._sleeping_users_unfinished > 0:
-            return False
-        asleep = self._asleep
-        return all(node.user_threads_finished for node in self.nodes
-                   if not asleep[node.node_id])
 
     # ------------------------------------------------------------------ run loops
     #
@@ -381,7 +377,7 @@ class SimulationKernel:
                 if next_event is None or next_event > cycle:
                     horizon = min(next_event, limit) if next_event is not None else limit
                     busy = self.mesh.busy or self._sleeping_pending > 0
-                    if self._sleeping_users_unfinished == 0 and not busy:
+                    if self.users_unfinished == 0 and not busy:
                         target = cycle + (settle_cycles - quiet)
                         if target <= horizon:
                             machine.cycle = target
@@ -395,7 +391,7 @@ class SimulationKernel:
                         machine._checkpoint.on_cycle(machine)
                     continue
             issued = self._step()
-            if self._users_done() and not self._machine_busy(issued):
+            if self.users_unfinished == 0 and not self._machine_busy(issued):
                 quiet += 1
             else:
                 quiet = 0

@@ -30,6 +30,8 @@ paper.  Over-committing a slot is an assembly error.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instruction import Instruction
@@ -262,8 +264,17 @@ def _resolve_labels(instructions: List[Instruction], labels: Dict[str, int]) -> 
                         break
 
 
+#: Distinct ``(source, name)`` pairs :func:`assemble` keeps assembled.
+PROGRAM_CACHE_SIZE = 256
+
+
 def assemble(source: str, name: str = "program") -> "Program":
     """Assemble *source* into a :class:`~repro.isa.program.Program`.
+
+    Programs are cached per ``(source, name)`` (the last
+    :data:`PROGRAM_CACHE_SIZE` distinct pairs), so every caller assembling
+    the same source under the same name shares one read-only ``Program``
+    and the dispatch plans compiled on it.  Errors are not cached.
 
     Raises
     ------
@@ -271,6 +282,11 @@ def assemble(source: str, name: str = "program") -> "Program":
         For unknown opcodes, malformed operands, slot over-commitment,
         undefined labels or duplicate labels.
     """
+    return _cached_program(source, name)
+
+
+def _parse_program(source: str, name: str) -> "Program":
+    """Assemble *source* without the cache."""
     from repro.isa.program import Program  # noqa: PLC0415
 
     instructions: List[Instruction] = []
@@ -294,4 +310,8 @@ def assemble(source: str, name: str = "program") -> "Program":
         labels[pending] = len(instructions)
 
     _resolve_labels(instructions, labels)
-    return Program(name=name, instructions=instructions, labels=labels, source=source)
+    return Program(name=name, instructions=tuple(instructions),
+                   labels=MappingProxyType(labels), source=source)
+
+
+_cached_program = lru_cache(maxsize=PROGRAM_CACHE_SIZE)(_parse_program)

@@ -1,28 +1,40 @@
 """Assembled MAP programs.
 
 A :class:`Program` is the unit of code loaded into one H-Thread: an ordered
-list of 3-wide instructions plus the label map produced by the assembler.
+tuple of 3-wide instructions plus the label map produced by the assembler.
 Programs are stored by the loader in the (always-hit) per-cluster instruction
 cache model; the simulator addresses instructions by index (the program
 counter is an instruction index).
+
+:func:`~repro.isa.assembler.assemble` hands out one shared ``Program`` per
+``(source, name)``, so a program is read-only: the dataclass is frozen, the
+instructions are a tuple and the labels a read-only mapping.  The one
+mutable part is :attr:`Program.dispatch_plans`, derived state that
+:func:`~repro.cluster.dispatch.compile_program` fills on first issue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from repro.isa.instruction import Instruction
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """An assembled program for a single H-Thread."""
 
     name: str = "program"
-    instructions: List[Instruction] = field(default_factory=list)
-    labels: Dict[str, int] = field(default_factory=dict)
+    instructions: Tuple[Instruction, ...] = ()
+    labels: Mapping[str, int] = field(default_factory=lambda: MappingProxyType({}))
     source: str = ""
+    #: Compiled dispatch plans keyed ``(slot, regfile layout_key)`` (derived
+    #: state shared by every cluster running this program; never compared
+    #: or serialised).
+    dispatch_plans: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -61,17 +61,22 @@ class GtlbEntry:
             raise ValueError("extent exponents out of range")
         if any(c < 0 for c in self.start_node):
             raise ValueError("start node coordinates must be non-negative")
+        # Geometry derived once (translation reads it on every lookup); not
+        # dataclass fields, so equality, packing and snapshots are unchanged.
+        dx, dy, dz = (1 << e for e in self.extent)
+        object.__setattr__(self, "_region_shape", (dx, dy, dz))
+        object.__setattr__(self, "_region_size", dx * dy * dz)
+        object.__setattr__(self, "_limit_page", self.base_page + self.page_group_length)
 
     # -- geometry ----------------------------------------------------------------
 
     @property
     def region_shape(self) -> Tuple[int, int, int]:
-        return tuple(1 << e for e in self.extent)
+        return self._region_shape
 
     @property
     def region_size(self) -> int:
-        dx, dy, dz = self.region_shape
-        return dx * dy * dz
+        return self._region_size
 
     @property
     def base_address(self) -> int:
@@ -82,8 +87,7 @@ class GtlbEntry:
         return (self.base_page + self.page_group_length) * self.page_size_words
 
     def covers(self, address: int) -> bool:
-        page = address // self.page_size_words
-        return self.base_page <= page < self.base_page + self.page_group_length
+        return self.base_page <= address // self.page_size_words < self._limit_page
 
     # -- translation -------------------------------------------------------------
 
@@ -92,8 +96,8 @@ class GtlbEntry:
         if not self.covers(address):
             raise ValueError(f"address {address:#x} not covered by this page-group")
         page_offset = address // self.page_size_words - self.base_page
-        node_index = (page_offset // self.pages_per_node) % self.region_size
-        dx, dy, _dz = self.region_shape
+        node_index = (page_offset // self.pages_per_node) % self._region_size
+        dx, dy, _dz = self._region_shape
         x = node_index % dx
         y = (node_index // dx) % dy
         z = node_index // (dx * dy)

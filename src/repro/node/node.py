@@ -173,6 +173,12 @@ class Node:
             name=f"n{node_id}-cswitch",
         )
         self.mswitch_latency = node_config.mswitch_latency
+        #: Unfinished user H-Threads on this node, kept by the clusters'
+        #: state-change notifications (:meth:`users_changed`), and the event
+        #: kernel that keeps the machine-wide total (None under the naive
+        #: loop).
+        self.users_unfinished = 0
+        self._kernel = None
         self.clusters = [
             Cluster(index, self, config.cluster, node_config,
                     compile_dispatch=config.sim.compile_dispatch)
@@ -544,7 +550,14 @@ class Node:
 
     @property
     def user_threads_finished(self) -> bool:
+        """Rescan of every context (the naive loop's oracle for the counts)."""
         return all(cluster.user_threads_finished for cluster in self.clusters)
+
+    def users_changed(self, delta: int) -> None:
+        """A cluster's unfinished-user count moved by *delta*."""
+        self.users_unfinished += delta
+        if self._kernel is not None:
+            self._kernel.users_unfinished += delta
 
     # ------------------------------------------------------------------ snapshot
     #

@@ -13,9 +13,11 @@ The encoding is self-describing and loss-free:
 * ``encode_value(decode_value(x)) == x`` for every encoded document, and
 * ``decode_value(encode_value(v))`` reconstructs an equal value, with
   :class:`~repro.isa.program.Program` objects re-assembled from their
-  retained source (identical sources decode to the *same* object, which
-  restores the sharing between an instruction cache and its thread
-  contexts).
+  retained source through :func:`~repro.isa.assembler.assemble`, whose
+  program cache hands identical ``(source, name)`` pairs the *same*
+  object.  That restores the sharing between an instruction cache and its
+  thread contexts, and a restored machine reuses the dispatch plans already
+  compiled on those programs.
 
 Aliasing between containers is not preserved: two references to the same
 :class:`~repro.memory.requests.MemRequest` decode to two equal objects.  No
@@ -26,7 +28,6 @@ this never changes behaviour.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Dict, List, Optional
 
 #: Reserved key marking a tagged (non-plain-JSON) value.
@@ -35,13 +36,6 @@ TAG = "__snap__"
 
 class SnapshotError(Exception):
     """Raised for malformed, unsupported or mismatched snapshot data."""
-
-
-@lru_cache(maxsize=256)
-def _assemble_cached(source: str, name: str):
-    from repro.isa.assembler import assemble  # noqa: PLC0415
-
-    return assemble(source, name=name)
 
 
 def encode_value(value) -> object:
@@ -224,6 +218,7 @@ def decode_value(encoded) -> object:
 def _decode_tagged(encoded: Dict[str, object]) -> object:
     from repro.cluster.cluster import RegWrite  # noqa: PLC0415
     from repro.events.records import EventRecord, EventType  # noqa: PLC0415
+    from repro.isa.assembler import assemble  # noqa: PLC0415
     from repro.isa.operations import LabelRef  # noqa: PLC0415
     from repro.isa.registers import RegFile, RegisterRef  # noqa: PLC0415
     from repro.memory.guarded_pointer import GuardedPointer  # noqa: PLC0415
@@ -255,7 +250,7 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
             name=encoded["name"],
         )
     if tag == "program":
-        return _assemble_cached(encoded["source"], encoded["name"])
+        return assemble(encoded["source"], encoded["name"])
     if tag == "memreq":
         return MemRequest(
             kind=MemOpKind(encoded["kind"]),

@@ -10,13 +10,19 @@ blocked cycle, which the event kernel reconstructs in bulk when it skips
 node ticks.
 
 Every scenario below builds the same machine twice, runs the same workload
-under both kernels, and compares everything observable.
+under both kernels, and compares everything observable.  It also checks the
+thread bookkeeping both kernels rely on -- each cluster's runnable slots and
+the unfinished-user counts of clusters, nodes and the event kernel, kept
+from state-change notifications -- against a rescan of the contexts.
 """
 
 import pytest
 
 from repro import MMachine, MachineConfig
 from repro.cluster.cluster import Cluster
+from repro.cluster.hthread import HThreadContext, ThreadState
+from repro.core.config import EVENT_SLOT, EXCEPTION_SLOT
+from repro.node.node import Node
 from repro.workloads.stencil import make_stencil_workload
 from repro.workloads.synthetic import (
     expected_many_to_one_values,
@@ -63,6 +69,31 @@ def _compare_machines(naive: MMachine, event: MMachine) -> None:
     for attribute in ("messages_injected", "messages_delivered", "total_latency",
                       "total_hops", "link_contention_cycles"):
         assert getattr(event.mesh, attribute) == getattr(naive.mesh, attribute)
+
+    _assert_thread_bookkeeping(naive)
+    _assert_thread_bookkeeping(event)
+
+
+def _assert_thread_bookkeeping(machine: MMachine) -> None:
+    """The maintained runnable slots and unfinished-user counts equal a
+    rescan of the contexts."""
+    total = 0
+    for node in machine.nodes:
+        node_total = 0
+        for cluster in node.clusters:
+            runnable = tuple(ctx.slot for ctx in cluster.contexts
+                             if ctx.state is ThreadState.RUNNABLE)
+            assert cluster._runnable == runnable, f"{node} c{cluster.id} runnable slots"
+            unfinished = sum(1 for ctx in cluster.contexts
+                             if ctx.slot not in (EVENT_SLOT, EXCEPTION_SLOT)
+                             and not ctx.finished)
+            assert cluster.users_unfinished == unfinished, f"{node} c{cluster.id} users"
+            node_total += unfinished
+        assert node.users_unfinished == node_total, f"{node} users"
+        assert node.user_threads_finished == (node_total == 0)
+        total += node_total
+    if machine.kernel is not None:
+        assert machine.kernel.users_unfinished == total, "machine-wide users"
 
 
 def _run_both(scenario):
@@ -468,6 +499,7 @@ def _snapshot_restore(kernel):
     document = machine.snapshot_document()
     machine.run(200)
     machine.restore_snapshot(document)
+    _assert_thread_bookkeeping(machine)
     machine.run_until_user_done(max_cycles=20000)
     return machine
 
@@ -619,3 +651,61 @@ def test_disabling_a_wake_hook_breaks_equivalence(hook, monkeypatch):
     monkeypatch.setattr(Cluster, method, make_mutant())
     for name in scenarios:
         assert _diverges(PARKING_SCENARIOS[name]), f"{name} missed the disabled {hook}"
+
+
+# The thread bookkeeping is maintained, not rescanned: with any link of the
+# state-change notification chain cut (context -> cluster -> node -> event
+# kernel), the event kernel must diverge from the naive loop or the
+# bookkeeping check must fail.
+def _set_state_silently(self, state):
+    self.state = state
+
+
+def _refresh_runnable_only(self, context, previous):
+    self._runnable = tuple(ctx.slot for ctx in self.contexts
+                           if ctx.state is ThreadState.RUNNABLE)
+
+
+def _node_count_only(self, delta):
+    self.users_unfinished += delta
+
+
+NOTIFICATION_MUTATIONS = {
+    "context-to-cluster": (HThreadContext, "_set_state", _set_state_silently),
+    "cluster-user-count": (Cluster, "thread_state_changed", _refresh_runnable_only),
+    "node-to-kernel": (Node, "users_changed", _node_count_only),
+}
+
+
+def _blocked_user_thread(kernel):
+    """A user thread blocks on a register nothing will fill, and nothing
+    else in the machine has work: run_until_user_done must run out its
+    budget instead of reporting the users done."""
+    machine = MMachine(_config(shape=(1, 1, 1), mode="none", kernel=kernel))
+    machine.load_hthread(0, 0, 0, "empty i5\nadd i6, i5, #1\nhalt")
+    try:
+        machine.run_until_user_done(max_cycles=500)
+    except TimeoutError:
+        return machine
+    raise AssertionError(f"users reported done at cycle {machine.cycle}")
+
+
+def _breaks(scenario) -> bool:
+    try:
+        _run_both(scenario)
+    except (AssertionError, TimeoutError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("link", sorted(NOTIFICATION_MUTATIONS))
+def test_cutting_a_state_notification_is_caught(link, monkeypatch):
+    owner, method, mutant = NOTIFICATION_MUTATIONS[link]
+    monkeypatch.setattr(owner, method, mutant)
+    for scenario in (_blocked_user_thread, _snapshot_restore):
+        assert _breaks(scenario), f"{scenario.__name__} missed the cut {link}"
+
+
+def test_blocked_user_thread_matches_naive():
+    machines = _run_both(_blocked_user_thread)
+    assert machines["event"].cycle == 500

@@ -11,6 +11,7 @@ from repro.network.interface import NetworkInterface
 from repro.network.mesh import MeshNetwork, coords_to_id, id_to_coords
 from repro.network.message import Message, MessageKind
 from repro.network.router import Router, dimension_order_path, next_hop
+from repro.snapshot.values import decode_value, encode_value
 
 
 class TestGtlbEntry:
@@ -60,6 +61,25 @@ class TestGtlbEntry:
     def test_pack_unpack_roundtrip(self):
         entry = self._entry(start_node=(3, 2, 1), extent=(2, 1, 0), pages_per_node=2)
         assert GtlbEntry.unpack(entry.pack(), page_size_words=512) == entry
+        # The geometry derived at construction is not part of the entry:
+        # the packed bits, equality and the snapshot encoding see only the
+        # dataclass fields.
+        assert entry.pack() == 0x8000406102000488
+        unpacked = GtlbEntry.unpack(entry.pack(), page_size_words=512)
+        assert hash(unpacked) == hash(entry)
+        assert unpacked.region_shape == entry.region_shape == (4, 2, 1)
+        assert entry != self._entry(start_node=(3, 2, 1), extent=(2, 1, 1), pages_per_node=2)
+        encoded = encode_value(entry)
+        assert encoded == {
+            "__snap__": "gtlb", "base_page": 16, "page_group_length": 8,
+            "start_node": [3, 2, 1], "extent": [2, 1, 0], "pages_per_node": 2,
+            "page_size_words": 512,
+        }
+        restored = decode_value(encoded)
+        assert restored == entry
+        assert restored.region_size == 8
+        assert [restored.covers(page * 512) for page in (15, 16, 23, 24)] == [
+            False, True, True, False]
 
     def test_non_power_of_two_length_rejected(self):
         with pytest.raises(ValueError):
